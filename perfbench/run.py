@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Ocasta benchmark: four named workloads, one command.
+"""Ocasta benchmark: two named workloads, one command.
 
 Run from the root of a source checkout:
 
@@ -8,19 +8,17 @@ Run from the root of a source checkout:
 Workloads (see perfbench/README.md for why each exists):
   app-reads      in-memory `ocasta_cli serve`, 2 closed-loop connections,
                  99% GET / 1% PUT, Zipf 0.99 over 20,000 preloaded keys
-  save-bursts    durable daemon (--fsync batch, checkpoint every second),
-                 2 connections sending BATCH frames of one 8-key group's PUTs
-  quorum-bursts  save-bursts' traffic against an --acks quorum leader with
-                 one --follow follower
   repair-table4  the paper pipeline in process: the 16 Table III repairs and
                  machine-wide ClusterKeys on the 7 Table I machines they use
 
 The first run builds ocasta_core, ocasta_cli and the benchmark binary
 `ocbench` from source (perfbench/CMakeLists.txt) into $CARGO_TARGET_DIR
 (default .bench_build). --trace 0 prints the end-to-end metrics, --trace 1
-the per-layer metrics and the latency budget. The last stdout line is one
-JSON object {"correct", "attempted", "failed", "metrics"}; the exit code is
-non-zero when a correctness check fails.
+the per-layer metrics and the latency budget; every traced run also sends
+the workload's writes to a durable --acks quorum leader with one follower
+(the persist and replica rows) and checks that the acked values survive.
+The last stdout line is one JSON object {"correct", "attempted", "failed",
+"metrics"}; the exit code is non-zero when a correctness check fails.
 """
 
 import argparse
@@ -38,17 +36,9 @@ import time
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 BUILD_DIR = os.path.join(os.environ.get("CARGO_TARGET_DIR", ".bench_build"), "perfbench")
 TMP_DIR = ".bench_tmp"
-WORKLOADS = ("app-reads", "save-bursts", "quorum-bursts", "repair-table4")
-# Workloads whose own daemon runs the persist (fsync) and replica layers;
-# the others get those per-layer rows from a probe (see probe()).
-OWN_PERSIST = ("save-bursts", "quorum-bursts")
-OWN_REPLICA = ("quorum-bursts",)
-CONNS = 2
-# tail_us is the p90 everywhere: at p99, intermittent hypervisor steal on
-# the reference host (perfbench/baseline.json) moved app-reads by up to
-# 2.5x between runs of unchanged code, and its shared virtual disk moved the
-# bursts' p99 by 42%.
-SETUPS = 3
+WORKLOADS = ("app-reads", "repair-table4")
+# Set-ups per untraced run; setup_s is their median.
+SETUPS = {"app-reads": 7, "repair-table4": 3}
 WARMUP_S = 0.5
 # A daemon run whose measured load lost more than this share of all CPU
 # time to the hypervisor (steal, /proc/stat) is run once more from fresh
@@ -57,14 +47,15 @@ WARMUP_S = 0.5
 STEAL_MAX = 0.03
 ATTEMPTS = 2
 PROBE_REQUESTS = 200
-# Each daemon run does a fixed amount of work: --seconds times this many
-# requests per second (about what the reference host sustains), so the history the
+# app-reads does a fixed amount of work: --seconds times this many requests
+# (the reference host sustained 60,000-130,000 a second), so the history the
 # daemon holds at the end does not depend on how fast the run went.
-REQUESTS_PER_S = {"app-reads": 60000, "save-bursts": 6000, "quorum-bursts": 200}
-# repair-table4 likewise runs a fixed number of passes (about one a second).
-PASSES_PER_S = 1.0
+APP_REQUESTS_PER_S = 60000
+# repair-table4 likewise runs a fixed number of passes (a pass takes
+# 0.35-0.8 s on the reference host).
+PASSES_PER_S = 1.4
 
-END_TO_END = (("ops_per_s", "1/s"), ("p50_us", "us"), ("tail_us", "us"),
+END_TO_END = (("ops_per_s", "1/s"), ("latency_us", "us"), ("tail_us", "us"),
               ("setup_s", "s"), ("peak_rss_mb", "MB"), ("ok_frac", "ratio"))
 
 PER_LAYER = (
@@ -256,29 +247,19 @@ class Daemon:
 
 # --- workloads ---------------------------------------------------------------
 
-# Durable daemons group-commit with fdatasync and take no periodic
-# checkpoint (see perfbench/README.md for why).
+# The durable probe's daemons group-commit with fdatasync and take no
+# periodic checkpoint.
 DURABLE_FLAGS = ["--fsync", "batch"]
 
 
-def start_workload_daemons(bench, workload, metrics):
-    """Spawns the workload's daemon(s) and preloads them.
+def start_app_daemon(bench, metrics):
+    """Spawns the in-memory app-reads daemon and preloads every key.
 
-    Returns (target daemon, follower or None, set-up seconds)."""
+    Returns (daemon, set-up seconds)."""
     t0 = time.perf_counter()
-    follower = None
-    if workload == "app-reads":
-        target = bench.spawn([], metrics=metrics)
-    elif workload == "save-bursts":
-        target = bench.spawn(DURABLE_FLAGS, bench.fresh_dir("save"), metrics=metrics)
-    else:
-        target = bench.spawn(DURABLE_FLAGS + ["--acks", "quorum", "--quorum-followers", "1"],
-                             bench.fresh_dir("leader"), metrics=metrics)
-        follower = bench.spawn(["--follow", f"127.0.0.1:{target.port}",
-                                "--follower-id", "bench-follower", *DURABLE_FLAGS],
-                               bench.fresh_dir("follower"), metrics=metrics)
-    bench.tool("preload", "--workload", workload, "--port", target.port)
-    return target, follower, time.perf_counter() - t0
+    daemon = bench.spawn([], metrics=metrics)
+    bench.tool("preload", "--port", daemon.port)
+    return daemon, time.perf_counter() - t0
 
 
 def cpu_ticks():
@@ -288,17 +269,14 @@ def cpu_ticks():
     return ticks[7], sum(ticks)
 
 
-def load(bench, workload, seed, port, seconds, acked=None):
-    """Runs `ocbench load`; its result carries the steal share of the run."""
-    # Write back dirty pages left by set-up or earlier runs, so the measured
-    # fsyncs do not queue behind them.
+def load(bench, seed, port, seconds):
+    """Runs app-reads' `ocbench load`; its result carries the steal share."""
+    # Write back dirty pages left by earlier runs first.
     os.sync()
-    rate = REQUESTS_PER_S[workload]
-    args = ["load", "--workload", workload, "--seed", seed, "--port", port, "--conns", CONNS,
-            "--requests", int(seconds * rate), "--warmup-requests", int(WARMUP_S * rate),
+    args = ["load", "--workload", "app-reads", "--seed", seed, "--port", port,
+            "--requests", int(seconds * APP_REQUESTS_PER_S),
+            "--warmup-requests", int(WARMUP_S * APP_REQUESTS_PER_S),
             "--max-seconds", 4 * seconds + 10]
-    if acked:
-        args += ["--acked-out", acked]
     steal0, total0 = cpu_ticks()
     run = bench.tool(*args)
     steal1, total1 = cpu_ticks()
@@ -306,108 +284,59 @@ def load(bench, workload, seed, port, seconds, acked=None):
     return run
 
 
-def latency_key(workload):
-    return "read_ns" if workload == "app-reads" else "write_ns"
-
-
-def run_daemon_workload(bench, workload, seed, seconds, trace):
-    """One daemon workload; returns (result dict, checks)."""
-    checks = {"failed": 0, "attempted": 0}
-    res = {}
-    if trace:
-        # Untraced then traced halves: their throughput difference is the
-        # tracing overhead; the traced half feeds the layer rows.
-        base, _, _ = start_workload_daemons(bench, workload, metrics=False)
-        plain = load(bench, workload, seed, base.port, seconds / 2)
-        bench.stop_all()
-        target, follower, _ = start_workload_daemons(bench, workload, metrics=True)
-        bytes0 = target.write_bytes()
-        run = load(bench, workload, seed, target.port, seconds / 2,
-                   os.path.join(TMP_DIR, "acked.tsv"))
-        res["plain"] = plain
-        for r in (plain, run):
-            checks["attempted"] += r["attempted"]
-            checks["failed"] += r["failed"]
-    else:
-        for attempt in range(ATTEMPTS):
-            setups = []
-            for i in range(SETUPS):
-                target, follower, setup_s = start_workload_daemons(bench, workload,
-                                                                   metrics=False)
-                setups.append(setup_s)
-                if i < SETUPS - 1:
-                    bench.stop_all()
-            bytes0 = target.write_bytes()
-            run = load(bench, workload, seed, target.port, seconds,
-                       os.path.join(TMP_DIR, "acked.tsv"))
-            # Every attempt's requests count, the discarded one's too.
-            checks["attempted"] += run["attempted"]
-            checks["failed"] += run["failed"]
-            if run["steal_share"] <= STEAL_MAX or attempt == ATTEMPTS - 1:
-                break
-            log(f"{run['steal_share']:.1%} of CPU time was stolen during the measured load; "
-                "running it again")
-            bench.stop_all()
-        res["setup_s"] = statistics.median(setups)
-    res["run"] = run
-    res["peak_rss_mb"] = target.peak_rss_mb()
-    res["write_bytes"] = target.write_bytes() - bytes0
-    if trace:
-        res["scrape"] = bench.tool("scrape", "--port", target.port)
-
-    # Correctness: acked writes survive a kill -9 restart (save-bursts) or
-    # read back from the follower (quorum-bursts).
-    acked = os.path.join(TMP_DIR, "acked.tsv")
-    if workload == "save-bursts" or (workload == "quorum-bursts" and trace):
-        target, res["recovery_s"] = bench.restart(target)
-    if workload != "app-reads":
-        reader = follower if workload == "quorum-bursts" else target
-        verify = bench.tool("verify", "--port", reader.port, "--acked", acked)
-        checks["attempted"] += verify["checked"]
-        checks["failed"] += verify["mismatches"]
-    bench.stop_all()
-    return res, checks
+def add_checks(checks, attempted, failed):
+    checks["attempted"] += attempted
+    checks["failed"] += failed
 
 
 def probe(bench, workload, seed, durable):
-    """Replays the workload's write stream through the layers its own
-    daemon does not run: an in-memory daemon (server/engine rows) or a
-    durable --acks quorum leader with one follower (persist/replica rows)."""
+    """Sends PROBE_REQUESTS of the workload's write requests to a daemon
+    that runs the layers the workload itself does not: an in-memory daemon
+    (server and engine rows of repair-table4), or a durable --acks quorum
+    leader with one follower (persist and replica rows of both workloads).
+
+    On the durable pair it also checks that every acked value reads back
+    from the follower, and from the leader after a kill -9 and a restart on
+    the same data dir. Returns the probe's figures and checks."""
     if durable:
         leader = bench.spawn(DURABLE_FLAGS + ["--acks", "quorum", "--quorum-followers", "1"],
                              bench.fresh_dir("probe-leader"), metrics=True)
-        bench.spawn(["--follow", f"127.0.0.1:{leader.port}", "--follower-id", "probe",
-                     *DURABLE_FLAGS], bench.fresh_dir("probe-follower"))
+        follower = bench.spawn(["--follow", f"127.0.0.1:{leader.port}", "--follower-id",
+                                "probe", *DURABLE_FLAGS], bench.fresh_dir("probe-follower"))
     else:
         leader = bench.spawn([], metrics=True)
+    acked = os.path.join(TMP_DIR, "acked.tsv")
     bytes0 = leader.write_bytes()
     run = bench.tool("load", "--workload", workload, "--seed", seed, "--port", leader.port,
-                     "--conns", CONNS, "--requests", PROBE_REQUESTS, "--writes-only")
+                     "--requests", PROBE_REQUESTS, "--writes-only", "--acked-out", acked)
     out = {"run": run, "scrape": bench.tool("scrape", "--port", leader.port),
-           "write_bytes": leader.write_bytes() - bytes0}
+           "write_bytes": leader.write_bytes() - bytes0,
+           "checks": {"attempted": 0, "failed": 0}}
+    add_checks(out["checks"], run["attempted"], run["failed"])
     if durable:
-        _, out["recovery_s"] = bench.restart(leader)
+        verify = bench.tool("verify", "--port", follower.port, "--acked", acked)
+        add_checks(out["checks"], verify["checked"], verify["mismatches"])
+        leader, out["recovery_s"] = bench.restart(leader)
+        verify = bench.tool("verify", "--port", leader.port, "--acked", acked)
+        add_checks(out["checks"], verify["checked"], verify["mismatches"])
+        print(f"{workload}: durable probe: {run['write_ns_count']} quorum-acked PUTs, p50 "
+              f"{run['write_ns_p50'] / 1e3:.2f} us; {verify['checked']} acked keys read back "
+              f"from the follower and from the leader after kill -9 (restart answered PING "
+              f"after {out['recovery_s']:.3f} s)")
     bench.stop_all()
     return out
-
-
-def add_probe_checks(checks, probes):
-    for p in probes.values():
-        checks["attempted"] += p["run"]["attempted"]
-        checks["failed"] += p["run"]["failed"]
 
 
 def hist(scrape, name, stat):
     return float(scrape.get(f"{name}_{stat}", 0.0))
 
 
-def layer_metrics(workload, res, layers, probes):
-    """Maps scraped counters and in-process replays onto the PER_LAYER names."""
-    own = res.get("scrape", {})
-    server = probes["server"]["scrape"] if "server" in probes else own
-    durable = res if workload in OWN_PERSIST else probes["durable"]
+def layer_metrics(workload, own, layers, probes):
+    """Maps scraped counters and in-process replays onto the PER_LAYER
+    names. `own` is the app-reads daemon's scrape (empty for repair-table4)."""
+    server = own if workload == "app-reads" else probes["server"]["scrape"]
+    durable = probes["durable"]
     persist = durable["scrape"]
-    replica = own if workload in OWN_REPLICA else probes["durable"]["scrape"]
     op = "get" if workload == "app-reads" else "put"
     m = {k: layers[k] for k in ("api.encode_ns", "api.decode_ns", "api.reply_codec_ns",
                                 "loopback.rtt_us", "server.shard_apply_ns",
@@ -429,12 +358,12 @@ def layer_metrics(workload, res, layers, probes):
                                       / max(persist.get("ocasta_wal_flushes_total", 0), 1))
     m["persist.write_bytes_per_user_byte"] = (
         durable["write_bytes"] / max(durable["run"]["user_write_bytes"], 1))
-    m["persist.recovery_s"] = res.get("recovery_s", durable.get("recovery_s"))
+    m["persist.recovery_s"] = durable["recovery_s"]
     quorum_wait = "ocasta_replication_quorum_wait_ns"
-    m["replica.quorum_wait_p50_us"] = hist(replica, quorum_wait, "p50") / 1e3
-    m["replica.quorum_wait_p99_us"] = hist(replica, quorum_wait, "p99") / 1e3
-    m["replica.lag_records"] = replica.get("ocasta_replication_lag_records", 0)
-    m["replica.quorum_timeouts"] = replica.get("ocasta_replication_quorum_timeouts_total", 0)
+    m["replica.quorum_wait_p50_us"] = hist(persist, quorum_wait, "p50") / 1e3
+    m["replica.quorum_wait_p99_us"] = hist(persist, quorum_wait, "p99") / 1e3
+    m["replica.lag_records"] = persist.get("ocasta_replication_lag_records", 0)
+    m["replica.quorum_timeouts"] = persist.get("ocasta_replication_quorum_timeouts_total", 0)
     if workload == "repair-table4":
         for k in ("ttkv.keys", "ttkv.versions_per_key", "repair.trials", "repair.kept_ratio",
                   "repair.noclust_fixed", "repair.fix_trials", "repair.screens_per_fix"):
@@ -448,7 +377,7 @@ def layer_metrics(workload, res, layers, probes):
     return m
 
 
-def budget(workload, p50_us, layers, m):
+def budget(title, what, p50_us, layers, m):
     """Latency budget: top-level rows that add up, with server.unaccounted_us
     as the remainder of the client-observed p50."""
     rows = [
@@ -463,16 +392,8 @@ def budget(workload, p50_us, layers, m):
         ("engine apply p50 (engine.apply_p50_ns)", m["engine.apply_p50_ns"] / 1e3),
         ("reply encode (part of api.reply_codec_ns)", layers["api.reply_encode_ns"] / 1e3),
     ]
-    if workload != "app-reads":
-        nested += [("WAL append p50 (persist.wal_append_p50_ns)",
-                    m["persist.wal_append_p50_ns"] / 1e3),
-                   ("fsync p50 (persist.fsync_p50_us)", m["persist.fsync_p50_us"])]
-    if workload == "quorum-bursts":
-        nested.append(("quorum wait p50 (replica.quorum_wait_p50_us)",
-                       m["replica.quorum_wait_p50_us"]))
     unaccounted = p50_us - sum(v for _, v in rows)
-    what = "read_p50_us" if workload == "app-reads" else "write_p50_us"
-    lines = [f"latency budget for {workload}: {what} = {p50_us:.2f} us (traced run)"]
+    lines = [f"latency budget for {title}: {what} = {p50_us:.2f} us"]
     for name, v in rows:
         lines.append(f"  {name:<52} {v:10.3f} us  {100 * v / p50_us:6.1f}%")
     for name, v in nested:
@@ -480,88 +401,132 @@ def budget(workload, p50_us, layers, m):
     lines.append(f"  {'server.unaccounted_us':<52} {unaccounted:10.3f} us  "
                  f"{100 * unaccounted / p50_us:6.1f}%")
     lines.append(f"  {'= ' + what:<52} {p50_us:10.3f} us")
-    return unaccounted, lines
-
-
-def run_daemon(bench, workload, seed, seconds, trace):
-    res, checks = run_daemon_workload(bench, workload, seed, seconds, trace)
-    run = res["run"]
-    lat = latency_key(workload)
-    correct = checks["failed"] == 0
-    ops = run["win_ops_per_s"]
-    if not trace:
-        metrics = {
-            "ops_per_s": ops,
-            "p50_us": run[f"{lat}_win_p50"] / 1e3,
-            "tail_us": run[f"{lat}_win_p90"] / 1e3,
-            "setup_s": res["setup_s"],
-            "peak_rss_mb": res["peak_rss_mb"],
-            "ok_frac": 1.0 - checks["failed"] / max(checks["attempted"], 1),
-        }
-        print(f"{workload}: {100 * run['steal_share']:.1f}% CPU steal during the measured load")
-        print(f"{workload}: {run[f'{lat}_count']} latency samples "
-              f"({'GET' if workload == 'app-reads' else '8-PUT burst'}) in "
-              f"{run['windows']} windows; whole run p50 {run[f'{lat}_p50'] / 1e3:.2f} us, "
-              f"p90 {run[f'{lat}_p90'] / 1e3:.2f} us, p99 {run[f'{lat}_p99'] / 1e3:.2f} us")
-        if workload == "app-reads":
-            print(f"app-reads: {run['write_ns_count']} PUT samples, p50 "
-                  f"{run['write_ns_p50'] / 1e3:.2f} us, p99 {run['write_ns_p99'] / 1e3:.2f} us")
-        if "recovery_s" in res:
-            print(f"{workload}: kill -9 restart answered PING after {res['recovery_s']:.3f} s")
-        return metrics, checks, correct
-    layers = bench.tool("layers", "--workload", workload, "--seed", seed,
-                        "--scratch", os.path.join(TMP_DIR, "layers"), cpus=None)
-    probes = {}
-    if workload not in OWN_REPLICA:
-        probes["durable"] = probe(bench, workload, seed, durable=True)
-    add_probe_checks(checks, probes)
-    correct = checks["failed"] == 0 and layers["_exit"] == 0
-    metrics = layer_metrics(workload, res, layers, probes)
-    p50_us = run[f"{lat}_p50"] / 1e3
-    metrics["server.unaccounted_us"], lines = budget(workload, p50_us, layers, metrics)
-    plain_ops = res["plain"]["win_ops_per_s"]
-    metrics["obs.trace_overhead_pct"] = 100.0 * (plain_ops - ops) / plain_ops
     print("\n".join(lines))
-    return metrics, checks, correct
+    return unaccounted
+
+
+def run_app(bench, seed, seconds, trace):
+    """The app-reads workload; returns (metrics, checks, correct)."""
+    checks = {"attempted": 0, "failed": 0}
+    if trace:
+        # Untraced then traced halves: their throughput difference is the
+        # tracing overhead; the traced half feeds the layer rows.
+        base, _ = start_app_daemon(bench, metrics=False)
+        plain = load(bench, seed, base.port, seconds / 2)
+        bench.stop_all()
+        target, _ = start_app_daemon(bench, metrics=True)
+        run = load(bench, seed, target.port, seconds / 2)
+        own = bench.tool("scrape", "--port", target.port)
+        bench.stop_all()
+        for r in (plain, run):
+            add_checks(checks, r["attempted"], r["failed"])
+        layers = bench.tool("layers", "--seed", seed,
+                            "--scratch", os.path.join(TMP_DIR, "layers"), cpus=None)
+        probes = {"durable": probe(bench, "app-reads", seed, durable=True)}
+        add_checks(checks, **probes["durable"]["checks"])
+        metrics = layer_metrics("app-reads", own, layers, probes)
+        p50_us = run["read_ns_p50"] / 1e3
+        metrics["server.unaccounted_us"] = budget(
+            f"app-reads (traced half, {run['read_ns_count']} GETs)", "read_p50_us", p50_us,
+            layers, metrics)
+        plain_ops = plain["win_ops_per_s"]
+        metrics["obs.trace_overhead_pct"] = (100.0 * (plain_ops - run["win_ops_per_s"])
+                                             / plain_ops)
+        return metrics, checks, checks["failed"] == 0 and layers["_exit"] == 0
+
+    for attempt in range(ATTEMPTS):
+        setups = []
+        for i in range(SETUPS["app-reads"]):
+            if i > 0:
+                bench.stop_all()
+            target, setup_s = start_app_daemon(bench, metrics=False)
+            setups.append(setup_s)
+        run = load(bench, seed, target.port, seconds)
+        # Every attempt's requests count, the discarded one's too.
+        add_checks(checks, run["attempted"], run["failed"])
+        if run["steal_share"] <= STEAL_MAX or attempt == ATTEMPTS - 1:
+            break
+        log(f"{run['steal_share']:.1%} of CPU time was stolen during the measured load; "
+            "running it again")
+        bench.stop_all()
+    # tail_us is the p99, the highest percentile with at least ten samples
+    # beyond it in every window. GET latency has a second mode holding
+    # 10-30% of GETs; the p90 jumped between the two modes (by 36% between
+    # sets of runs of unchanged code), the p99 stays in the second.
+    metrics = {
+        "ops_per_s": run["win_ops_per_s"],
+        "latency_us": run["read_ns_win_p50"] / 1e3,
+        "tail_us": run["read_ns_win_p99"] / 1e3,
+        "setup_s": statistics.median(setups),
+        "peak_rss_mb": target.peak_rss_mb(),
+        "ok_frac": 1.0 - checks["failed"] / max(checks["attempted"], 1),
+    }
+    bench.stop_all()
+    print(f"app-reads: {100 * run['steal_share']:.1f}% CPU steal during the measured load")
+    print(f"app-reads: {run['read_ns_count']} GET samples in {run['windows']} windows; whole run "
+          f"p50 {run['read_ns_p50'] / 1e3:.2f} us, p90 {run['read_ns_p90'] / 1e3:.2f} us, "
+          f"p99 {run['read_ns_p99'] / 1e3:.2f} us")
+    print(f"app-reads: {run['write_ns_count']} PUT samples, p50 "
+          f"{run['write_ns_p50'] / 1e3:.2f} us, p99 {run['write_ns_p99'] / 1e3:.2f} us")
+    return metrics, checks, checks["failed"] == 0
+
+
+def repair_passes(bench, seed, passes, trace, setups):
+    """Runs `ocbench repair` (unpinned: its nproc-thread clustering check
+    may use every CPU) and prints what it found."""
+    out = bench.tool("repair", "--seed", seed, "--passes", passes, "--trace", int(trace),
+                     "--setups", setups, "--scratch", os.path.join(TMP_DIR, "repair"),
+                     check=False, cpus=None)
+    print(f"repair-table4: {out['passes']} passes, {out['call_ns_count']} pipeline calls; "
+          f"whole run p50 {out['call_ns_p50'] / 1e3:.0f} us, "
+          f"p90 {out['call_ns_p90'] / 1e3:.0f} us; best times: "
+          f"{out['best_repair_ns_mean'] / 1e3:.0f} us per repair, "
+          f"{out['best_cluster_ns_mean'] / 1e3:.0f} us per machine-wide ClusterKeys, "
+          f"{out['best_slowest_quarter_ns_mean'] / 1e3:.0f} us per call of the slowest quarter; "
+          f"Ocasta fixed {out['repair.fixed']}/16, NoClust {out['repair.noclust_fixed']}/16; "
+          f"{out['repair.fix_trials']:.1f} trials (~{out['repair.fix_min']:.1f} modelled min) "
+          f"and {out['repair.screens_per_fix']:.2f} screenshots per fix; peak RSS "
+          f"{out['peak_rss_mb']:.1f} MB after the warm-up pass, {out['peak_rss_end_mb']:.1f} MB "
+          f"at the end")
+    return out
 
 
 def run_repair(bench, seed, seconds, trace):
-    out = bench.tool("repair", "--seed", seed, "--passes", max(5, int(seconds * PASSES_PER_S)),
-                     "--trace", int(trace),
-                     "--setups", SETUPS if not trace else 1,
-                     "--scratch", os.path.join(TMP_DIR, "repair"), check=False,
-                     cpus=CLIENT_CPUS)
-    failed = (16 - out["repair.fixed"]) + out["bad_passes"]
-    checks = {"attempted": out["calls"], "failed": failed}
-    correct = out["_exit"] == 0 and out["repair.noclust_fixed"] == 11 and failed == 0
-    print(f"repair-table4: {out['passes']} passes, {out['call_ns_count']} pipeline calls; "
-          f"whole run p50 {out['call_ns_p50'] / 1e3:.0f} us, "
-          f"p90 {out['call_ns_p90'] / 1e3:.0f} us; "
-          f"Ocasta fixed {out['repair.fixed']}/16, NoClust {out['repair.noclust_fixed']}/16; "
-          f"{out['repair.fix_trials']:.1f} trials (~{out['repair.fix_min']:.1f} modelled min) "
-          f"and {out['repair.screens_per_fix']:.2f} screenshots per fix")
+    """The repair-table4 workload; returns (metrics, checks, correct)."""
+    passes = max(5, int(seconds * PASSES_PER_S))
+    checks = {"attempted": 0, "failed": 0}
+    if trace:
+        # Untraced then traced halves, as for app-reads.
+        runs = [repair_passes(bench, seed, max(3, passes // 2), t, 1) for t in (False, True)]
+    else:
+        runs = [repair_passes(bench, seed, passes, False, SETUPS["repair-table4"])]
+    correct = True
+    for out in runs:
+        add_checks(checks, out["calls"], (16 - out["repair.fixed"]) + out["bad_passes"])
+        correct = correct and out["_exit"] == 0 and out["repair.noclust_fixed"] == 11
+    out = runs[-1]
     if not trace:
         metrics = {
             "ops_per_s": out["best_calls_per_s"],
-            "p50_us": out["best_call_ns_p50"] / 1e3,
-            "tail_us": out["best_call_ns_p90"] / 1e3,
+            "latency_us": out["best_repair_ns_mean"] / 1e3,
+            "tail_us": out["best_slowest_quarter_ns_mean"] / 1e3,
             "setup_s": out["setup_s"],
             "peak_rss_mb": out["peak_rss_mb"],
             "ok_frac": out["repair.fixed"] / 16.0,
         }
-        return metrics, checks, correct
+        return metrics, checks, correct and checks["failed"] == 0
     probes = {"server": probe(bench, "repair-table4", seed, durable=False),
               "durable": probe(bench, "repair-table4", seed, durable=True)}
-    add_probe_checks(checks, probes)
-    correct = correct and checks["failed"] == 0
+    for p in probes.values():
+        add_checks(checks, **p["checks"])
     metrics = layer_metrics("repair-table4", {}, out, probes)
-    p50_us = probes["server"]["run"]["write_ns_p50"] / 1e3
-    metrics["server.unaccounted_us"], _ = budget("repair-table4", p50_us, out, metrics)
-    staged = sum(out[k] for k in ("clustering.events_ms", "clustering.group_ms",
-                                  "clustering.correlation_ms", "clustering.hac_ms"))
-    metrics["obs.trace_overhead_pct"] = (100.0 * (staged - out["clustering.cluster_keys_ms"])
-                                         / out["clustering.cluster_keys_ms"])
-    return metrics, checks, correct
+    server_run = probes["server"]["run"]
+    metrics["server.unaccounted_us"] = budget(
+        f"repair-table4's probe ({server_run['write_ns_count']} trace PUTs)", "write_p50_us",
+        server_run["write_ns_p50"] / 1e3, out, metrics)
+    plain = runs[0]["best_calls_per_s"]
+    metrics["obs.trace_overhead_pct"] = 100.0 * (plain - out["best_calls_per_s"]) / plain
+    return metrics, checks, correct and checks["failed"] == 0
 
 
 def host_facts():
@@ -605,11 +570,8 @@ def main():
         shutil.rmtree(TMP_DIR, ignore_errors=True)
         os.makedirs(TMP_DIR)
         bench = Bench(ocbench, cli)
-        if args.workload == "repair-table4":
-            metrics, checks, correct = run_repair(bench, args.seed, args.seconds, args.trace)
-        else:
-            metrics, checks, correct = run_daemon(bench, args.workload, args.seed,
-                                                  args.seconds, args.trace)
+        run = run_repair if args.workload == "repair-table4" else run_app
+        metrics, checks, correct = run(bench, args.seed, args.seconds, args.trace)
     except (BenchError, subprocess.TimeoutExpired, OSError, KeyError, ValueError) as e:
         log(f"error: {e}")
         return 2

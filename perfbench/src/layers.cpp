@@ -2,6 +2,7 @@
 // each layer's public function on its own (codec, sharded engine, durable
 // engine, TTKV build, clustering stages), and a loopback echo of the same
 // frame sizes times the socket round trip without the daemon.
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -39,16 +40,6 @@ double MedianNs(const std::function<void()>& body, size_t per, int reps = kReps)
     samples.push_back(static_cast<double>(NowNs() - t0) / static_cast<double>(per));
   }
   return Median(samples);
-}
-
-std::string EncodeRequest(const Request& req) {
-  return req.cmds.size() == 1 ? api::EncodeCommand(req.cmds[0])
-                              : api::EncodeBatchRequest(req.cmds);
-}
-
-api::Result ApplyRequest(api::Engine& engine, const Request& req) {
-  if (req.cmds.size() == 1) return engine.Apply(req.cmds[0]);
-  return api::BatchResult{engine.ApplyBatch(req.cmds)};
 }
 
 // Socket echo on 127.0.0.1: one frame of `request_bytes` out, one frame of
@@ -122,7 +113,7 @@ void ReplayRequestLayers(const std::vector<std::vector<Request>>& per_conn,
   std::vector<std::string> payloads(n);
   const double encode_ns = MedianNs(
       [&] {
-        for (size_t i = 0; i < n; ++i) payloads[i] = EncodeRequest(*all[i]);
+        for (size_t i = 0; i < n; ++i) payloads[i] = api::EncodeCommand(all[i]->cmd);
       },
       n);
   const double decode_ns = MedianNs(
@@ -137,7 +128,7 @@ void ReplayRequestLayers(const std::vector<std::vector<Request>>& per_conn,
   std::vector<std::string> replies(n);
   {
     auto engine = PreloadedEngine(preload);
-    for (size_t i = 0; i < n; ++i) replies[i] = api::EncodeResult(ApplyRequest(*engine, *all[i]));
+    for (size_t i = 0; i < n; ++i) replies[i] = api::EncodeResult(engine->Apply(all[i]->cmd));
   }
   std::vector<api::Result> decoded(n);
   const double reply_decode_ns = MedianNs(
@@ -155,7 +146,7 @@ void ReplayRequestLayers(const std::vector<std::vector<Request>>& per_conn,
   auto single = PreloadedEngine(preload);
   const double shard_apply_ns = MedianNs(
       [&] {
-        for (const Request* r : all) ApplyRequest(*single, *r);
+        for (const Request* r : all) single->Apply(r->cmd);
       },
       n);
   std::vector<double> contended;
@@ -166,7 +157,7 @@ void ReplayRequestLayers(const std::vector<std::vector<Request>>& per_conn,
     for (size_t c = 0; c < per_conn.size(); ++c) {
       threads.emplace_back([&, c] {
         const uint64_t t0 = NowNs();
-        for (const Request& req : per_conn[c]) ApplyRequest(*shared, req);
+        for (const Request& req : per_conn[c]) shared->Apply(req.cmd);
         per_thread[c] =
             static_cast<double>(NowNs() - t0) / static_cast<double>(per_conn[c].size());
       });
@@ -192,7 +183,7 @@ void ReplayRequestLayers(const std::vector<std::vector<Request>>& per_conn,
     const uint64_t t0 = NowNs();
     for (const Request* r : all) {
       if (r->write && ++writes > 200) break;
-      ApplyRequest(*engine, *r);
+      engine->Apply(r->cmd);
       ++count;
     }
     durable_apply_ns = static_cast<double>(NowNs() - t0) / static_cast<double>(count);
@@ -282,6 +273,12 @@ StageTimes TimeClusterStages(const TTKV& ttkv, const ocasta::ClusteringParams& p
   return t;
 }
 
+int UsableCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
+
 void AddStageTimes(const StageTimes& t, JsonObject& out) {
   out.Num("clustering.events_ms", t.events_ms)
       .Num("clustering.group_ms", t.group_ms)
@@ -297,17 +294,15 @@ void AddStageTimes(const StageTimes& t, JsonObject& out) {
 }
 
 int CmdLayers(const ocasta::Args& args) {
-  const Workload w = WorkloadByName(args.Get("workload", ""));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 0));
-  const size_t conns = static_cast<size_t>(args.GetInt("conns", 2));
-  const size_t per_conn_requests = w == Workload::kAppReads ? 20000 : 1000;
-  std::vector<std::vector<Request>> per_conn(conns);
-  for (size_t c = 0; c < conns; ++c) {
-    RequestStream stream(w, seed, c, conns);
+  constexpr size_t per_conn_requests = 20000;
+  std::vector<std::vector<Request>> per_conn(kConns);
+  for (size_t c = 0; c < kConns; ++c) {
+    RequestStream stream(Workload::kAppReads, seed, c, kConns);
     for (size_t i = 0; i < per_conn_requests; ++i) per_conn[c].push_back(stream.Next());
   }
   JsonObject out;
-  ReplayRequestLayers(per_conn, PreloadCommands(w), args.Get("scratch", ".bench_tmp/layers"), out);
+  ReplayRequestLayers(per_conn, PreloadCommands(), args.Get("scratch", ".bench_tmp/layers"), out);
 
   // The history these writes leave, as the interception layer would record
   // it: one co-modification group per request, requests 2 s apart.
@@ -321,18 +316,14 @@ int CmdLayers(const ocasta::Args& args) {
               for (const auto& stream : per_conn) {
                 t += ocasta::Seconds(2);
                 if (!stream[i].write) continue;
-                for (const api::Command& cmd : stream[i].cmds) {
-                  const auto& put = std::get<api::PutCmd>(cmd.op);
-                  ttkv.record_write(put.key, put.value, t);
-                }
+                const auto& put = std::get<api::PutCmd>(stream[i].cmd.op);
+                ttkv.record_write(put.key, put.value, t);
               }
             }
           },
           1, 3) /
       1e6;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const StageTimes stages =
-      TimeClusterStages(ttkv, ocasta::ClusteringParams{}, static_cast<int>(hw), 3);
+  const StageTimes stages = TimeClusterStages(ttkv, ocasta::ClusteringParams{}, UsableCpus(), 3);
   out.Num("ttkv.build_ms", build_ms);
   AddStageTimes(stages, out);
   std::printf("%s\n", out.Render().c_str());

@@ -13,6 +13,7 @@
 
 #include "client/ttkv_client.h"
 #include "common/flags.h"
+#include "common/hash.h"
 #include "obs/histogram.h"
 #include "subcommands.h"
 #include "workload.h"
@@ -55,21 +56,28 @@ double SpanSeconds(const std::atomic<uint64_t>& first_t0, const std::atomic<uint
 
 
 
-// Last acked value per key, written by `load` and checked by `verify`.
-void WriteAcked(const std::string& path, const std::map<std::string, std::string>& acked) {
+// Last acked value per key, written by `load --acked-out` and checked by
+// `verify`: key, value type and display text, tab-separated, so typed trace
+// values compare exactly.
+void WriteAcked(const std::string& path, const std::map<std::string, ocasta::Value>& acked) {
   std::ofstream out(path, std::ios::trunc);
-  for (const auto& [key, value] : acked) out << key << '\t' << value << '\n';
+  for (const auto& [key, value] : acked) {
+    out << key << '\t' << static_cast<int>(value.type()) << '\t' << value.ToDisplay() << '\n';
+  }
   if (!out) throw std::runtime_error("cannot write " + path);
 }
 
-std::map<std::string, std::string> ReadAcked(const std::string& path) {
+std::map<std::string, ocasta::Value> ReadAcked(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot read " + path);
-  std::map<std::string, std::string> acked;
+  std::map<std::string, ocasta::Value> acked;
   std::string line;
   while (std::getline(in, line)) {
-    const size_t tab = line.find('\t');
-    if (tab != std::string::npos) acked[line.substr(0, tab)] = line.substr(tab + 1);
+    const size_t tab1 = line.find('\t');
+    const size_t tab2 = line.find('\t', tab1 + 1);
+    if (tab2 == std::string::npos) throw std::runtime_error("bad line in " + path);
+    const auto type = static_cast<ocasta::ValueType>(std::stoi(line.substr(tab1 + 1)));
+    acked[line.substr(0, tab1)] = ocasta::Value::ParseDisplay(type, line.substr(tab2 + 1));
   }
   return acked;
 }
@@ -90,10 +98,15 @@ bool ReadIsValid(const api::Result& result, size_t key,
          tag->seq <= issued[tag->writer].load(std::memory_order_acquire);
 }
 
+// Whether `req` is a write to a key connection `conn` owns (by key hash).
+bool OwnedWrite(const Request& req, size_t conn) {
+  return req.write && ocasta::Fnv1a(std::get<api::PutCmd>(req.cmd.op).key) % kConns == conn;
+}
+
 }  // namespace
 
 int CmdWait(const Args& args) {
-  const double timeout = args.GetDouble("timeout", 30.0);
+  constexpr double timeout = 30.0;
   const uint64_t start = NowNs();
   for (;;) {
     try {
@@ -113,8 +126,7 @@ int CmdWait(const Args& args) {
 }
 
 int CmdPreload(const Args& args) {
-  const Workload w = WorkloadByName(args.Get("workload", ""));
-  const std::vector<api::Command> cmds = PreloadCommands(w);
+  const std::vector<api::Command> cmds = PreloadCommands();
   TtkvClient client("127.0.0.1", PortArg(args));
   size_t errors = 0;
   constexpr size_t kChunk = 250;
@@ -131,7 +143,6 @@ int CmdPreload(const Args& args) {
 int CmdLoad(const Args& args) {
   const Workload w = WorkloadByName(args.Get("workload", ""));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 0));
-  const size_t conns = static_cast<size_t>(args.GetInt("conns", 2));
   // A fixed amount of work: --warmup-requests unmeasured requests, then
   // --requests measured ones, shared by all connections. A fixed request
   // count (not a fixed time) keeps the history the daemon ends up holding,
@@ -140,7 +151,9 @@ int CmdLoad(const Args& args) {
   const uint64_t requests = static_cast<uint64_t>(args.GetInt("requests", 1000));
   // Safety cap on the whole run, so a pathologically slow build still ends.
   const double max_seconds = args.GetDouble("max-seconds", 60.0);
-  // Probe mode sends only the stream's writes.
+  // Probe mode sends only the stream's writes, each connection only those
+  // to keys it owns (by key hash), so every key's last acked value is the
+  // last one its one writer was acked for.
   const bool writes_only = args.Has("writes-only");
   const uint16_t port = PortArg(args);
 
@@ -149,38 +162,32 @@ int CmdLoad(const Args& args) {
   std::atomic<uint64_t> failed{0}, commands{0}, started{0}, user_bytes{0};
   std::atomic<uint64_t> first_t0{UINT64_MAX}, last_t1{0};
   // The measured requests are cut into up to 100 windows in issue order;
-  // the *_win_* outputs are medians over windows, so hypervisor steal or a
-  // stall that hits some windows moves them less than it moves the
-  // whole-run figures.
+  // the *_win_* outputs are interquartile means over windows, so hypervisor
+  // steal or a stall that hits some windows moves them less than it moves
+  // the whole-run figures.
   const size_t num_windows = static_cast<size_t>(std::clamp<uint64_t>(requests / 200, 1, 100));
   std::vector<Window> windows(num_windows);
-  std::vector<std::atomic<uint64_t>> issued(conns);
-  std::vector<std::map<std::string, std::string>> acked(conns);
-  std::vector<std::string> errors(conns);
+  std::vector<std::atomic<uint64_t>> issued(kConns);
+  std::vector<std::map<std::string, ocasta::Value>> acked(kConns);
+  std::vector<std::string> errors(kConns);
 
   const uint64_t deadline = NowNs() + static_cast<uint64_t>(max_seconds * 1e9);
   std::vector<std::thread> threads;
-  for (size_t c = 0; c < conns; ++c) {
+  for (size_t c = 0; c < kConns; ++c) {
     threads.emplace_back([&, c] {
       TtkvClient client("127.0.0.1", port);
-      RequestStream stream(w, seed, c, conns);
+      RequestStream stream(w, seed, c, kConns);
       while (NowNs() < deadline) {
         Request req = stream.Next();
-        if (writes_only && !req.write) continue;
+        if (writes_only && !OwnedWrite(req, c)) continue;
         const uint64_t index = started.fetch_add(1);
         if (index >= warmup + requests) break;
-        if (req.write && w == Workload::kAppReads) {
-          issued[c].store(stream.seq(), std::memory_order_release);
-        }
+        if (req.write) issued[c].store(stream.seq(), std::memory_order_release);
         const uint64_t t0 = NowNs();
         bool ok = true;
         try {
-          if (req.cmds.size() == 1) {
-            const api::Result r = client.Apply(req.cmds[0]);
-            ok = req.write ? !api::IsError(r) : ReadIsValid(r, req.first_key, issued);
-          } else {
-            for (const api::Result& r : client.ApplyBatch(req.cmds)) ok = ok && !api::IsError(r);
-          }
+          const api::Result r = client.Apply(req.cmd);
+          ok = req.write ? !api::IsError(r) : ReadIsValid(r, req.key, issued);
         } catch (const std::exception& e) {
           ok = false;
           if (errors[c].empty()) errors[c] = e.what();
@@ -188,15 +195,11 @@ int CmdLoad(const Args& args) {
         }
         const uint64_t t1 = NowNs();
         if (ok && req.write) {
-          uint64_t bytes = 0;
-          for (const api::Command& cmd : req.cmds) {
-            const auto& put = std::get<api::PutCmd>(cmd.op);
-            // repair-table4's trace values are not all strings.
-            const std::string value = put.value.ToDisplay();
-            bytes += put.key.size() + value.size();
-            if (IsBurstWorkload(w)) acked[c][put.key] = value;
-          }
-          user_bytes.fetch_add(bytes, std::memory_order_relaxed);
+          const auto& put = std::get<api::PutCmd>(req.cmd.op);
+          // repair-table4's trace values are not all strings.
+          user_bytes.fetch_add(put.key.size() + put.value.ToDisplay().size(),
+                               std::memory_order_relaxed);
+          if (writes_only) acked[c][put.key] = put.value;
         }
         if (index < warmup) continue;
         if (!ok) {
@@ -205,12 +208,12 @@ int CmdLoad(const Args& args) {
         }
         AtomicMin(first_t0, t0);
         AtomicMax(last_t1, t1);
-        commands.fetch_add(req.cmds.size(), std::memory_order_relaxed);
+        commands.fetch_add(1, std::memory_order_relaxed);
         (req.write ? write_ns : read_ns).Record(t1 - t0);
         Window& win = windows[(index - warmup) * num_windows / requests];
         AtomicMin(win.first_t0, t0);
         AtomicMax(win.last_t1, t1);
-        win.commands.fetch_add(req.cmds.size(), std::memory_order_relaxed);
+        win.commands.fetch_add(1, std::memory_order_relaxed);
         (req.write ? win.write_ns : win.read_ns).Record(t1 - t0);
       }
     });
@@ -220,13 +223,8 @@ int CmdLoad(const Args& args) {
                              std::min(started.load(), warmup);
 
   if (args.Has("acked-out")) {
-    std::map<std::string, std::string> all;
-    for (size_t key = 0; key < NumKeys(w); ++key) {
-      all[KeyName(w, key)] = MakeValue(key, kPreloadWriter, 0);
-    }
-    for (const auto& per_conn : acked) {
-      for (const auto& [key, value] : per_conn) all[key] = value;
-    }
+    std::map<std::string, ocasta::Value> all;
+    for (const auto& per_conn : acked) all.insert(per_conn.begin(), per_conn.end());
     WriteAcked(args.Get("acked-out", ""), all);
   }
   for (const std::string& e : errors) {
@@ -253,14 +251,14 @@ int CmdLoad(const Args& args) {
     reads.push_back(win.read_ns.Snapshot());
     writes.push_back(win.write_ns.Snapshot());
   }
-  out.Int("windows", num_windows).Num("win_ops_per_s", Median(ops));
+  out.Int("windows", num_windows).Num("win_ops_per_s", InterquartileMean(ops));
   for (auto [name, stats] : {std::pair{"read_ns", &reads}, std::pair{"write_ns", &writes}}) {
     for (auto [pct, field] : {std::pair{"p50", &ocasta::obs::HistogramStats::p50},
                               std::pair{"p90", &ocasta::obs::HistogramStats::p90},
                               std::pair{"p99", &ocasta::obs::HistogramStats::p99}}) {
       std::vector<double> values;
       for (const auto& st : *stats) values.push_back(st.*field);
-      out.Num(std::string(name) + "_win_" + pct, Median(values));
+      out.Num(std::string(name) + "_win_" + pct, InterquartileMean(values));
     }
   }
   std::printf("%s\n", out.Render().c_str());
@@ -268,7 +266,7 @@ int CmdLoad(const Args& args) {
 }
 
 int CmdVerify(const Args& args) {
-  const std::map<std::string, std::string> acked = ReadAcked(args.Get("acked", ""));
+  const std::map<std::string, ocasta::Value> acked = ReadAcked(args.Get("acked", ""));
   TtkvClient client("127.0.0.1", PortArg(args));
   ocasta::obs::LatencyHistogram read_ns;
   uint64_t mismatches = 0;
@@ -277,8 +275,7 @@ int CmdVerify(const Args& args) {
     const uint64_t t0 = NowNs();
     const std::optional<ocasta::Value> got = client.Get(key);
     read_ns.Record(NowNs() - t0);
-    if (!got.has_value() || got->type() != ocasta::ValueType::kString ||
-        got->as_string() != want) {
+    if (got != want) {
       if (mismatches++ == 0) first_bad = key;
     }
   }

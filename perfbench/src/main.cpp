@@ -1,13 +1,15 @@
 // ocbench — the benchmark's load and replay binary. perfbench/run.py calls it:
 //
-//   ocbench wait    --port P [--timeout S]          poll until PING answers
-//   ocbench preload --workload W --port P           write every key once
-//   ocbench load    --workload W --seed N --port P --seconds S [--conns C]
-//                   [--warmup S] [--max-requests N] [--acked-out FILE]
+//   ocbench wait    --port P                        poll until PING answers
+//   ocbench preload --port P                        write every app-reads key once
+//   ocbench load    --workload W --seed N --port P --requests N
+//                   [--warmup-requests N] [--max-seconds S]
+//                   [--writes-only] [--acked-out FILE]
 //   ocbench verify  --port P --acked FILE           read back acked values
 //   ocbench scrape  --port P                        METRICS + STATS
-//   ocbench layers  --workload W --seed N           in-process layer replays
+//   ocbench layers  --seed N [--scratch DIR]        in-process layer replays
 //   ocbench repair  --seed N --passes P [--trace 0|1] [--setups K]
+//                   [--scratch DIR]
 //
 // Every subcommand prints one JSON object on stdout.
 #include <cstdio>

@@ -15,12 +15,12 @@ namespace perfbench {
 
 // load.cpp — against a running daemon (--port).
 int CmdWait(const ocasta::Args& args);     // Poll until PING answers.
-int CmdPreload(const ocasta::Args& args);  // Write every key's initial value.
-int CmdLoad(const ocasta::Args& args);     // Closed-loop load for --seconds.
+int CmdPreload(const ocasta::Args& args);  // Write every app-reads key's initial value.
+int CmdLoad(const ocasta::Args& args);     // Closed-loop load of --requests requests.
 int CmdVerify(const ocasta::Args& args);   // Read back the acked values.
 int CmdScrape(const ocasta::Args& args);   // METRICS + STATS.
 
-// layers.cpp — in-process replays of a workload's generated requests.
+// layers.cpp — in-process replays of app-reads' generated requests.
 int CmdLayers(const ocasta::Args& args);
 
 // repair.cpp — the repair-table4 workload.
@@ -44,6 +44,9 @@ struct StageTimes {
 };
 StageTimes TimeClusterStages(const ocasta::TTKV& ttkv, const ocasta::ClusteringParams& params,
                              int par_threads, int reps);
+
+// CPUs this process may run on (its affinity mask): the "nproc" thread count.
+int UsableCpus();
 
 // The seven Table I machines the Table III errors use.
 std::vector<ocasta::MachineTrace> GenerateScenarioMachines();

@@ -19,25 +19,13 @@ using ocasta::api::PutCmd;
 
 Workload WorkloadByName(const std::string& name) {
   if (name == "app-reads") return Workload::kAppReads;
-  if (name == "save-bursts") return Workload::kSaveBursts;
-  if (name == "quorum-bursts") return Workload::kQuorumBursts;
   if (name == "repair-table4") return Workload::kRepairTable4;
   throw std::runtime_error("unknown workload: " + name);
 }
 
-bool IsBurstWorkload(Workload w) {
-  return w == Workload::kSaveBursts || w == Workload::kQuorumBursts;
-}
-
-size_t NumKeys(Workload w) { return w == Workload::kAppReads ? kAppKeys : kGroups * kGroupSize; }
-
-std::string KeyName(Workload w, size_t key) {
-  char buf[48];
-  if (w == Workload::kAppReads) {
-    std::snprintf(buf, sizeof(buf), "app/k%05zu", key);
-  } else {
-    std::snprintf(buf, sizeof(buf), "save/g%03zu/k%zu", key / kGroupSize, key % kGroupSize);
-  }
+std::string AppKeyName(size_t key) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "app/k%05zu", key);
   return buf;
 }
 
@@ -90,16 +78,6 @@ const std::vector<PutCmd>& MachineWrites() {
   return puts;
 }
 
-std::vector<size_t> OwnedItems(Workload w, size_t conn, size_t num_conns, ocasta::Rng& rng) {
-  if (w == Workload::kAppReads) return Permutation(kAppKeys, rng);
-  std::vector<size_t> groups;
-  for (size_t g = conn; g < kGroups; g += num_conns) groups.push_back(g);
-  const std::vector<size_t> order = Permutation(groups.size(), rng);
-  std::vector<size_t> out;
-  for (size_t i : order) out.push_back(groups[i]);
-  return out;
-}
-
 }  // namespace
 
 RequestStream::RequestStream(Workload w, uint64_t seed, size_t conn, size_t num_conns)
@@ -107,9 +85,6 @@ RequestStream::RequestStream(Workload w, uint64_t seed, size_t conn, size_t num_
       conn_(static_cast<uint32_t>(conn)),
       rng_(seed * 1000003u + conn * 7919u + 17u),
       chooser_(ocasta::KeyDist::kZipf, 1, kZipfTheta) {
-  // Hot-key ranks come from a seed-only stream (shared by every connection
-  // of app-reads), the op sequence from the per-connection stream.
-  ocasta::Rng perm_rng(seed * 2654435761u + (w == Workload::kAppReads ? 0 : conn + 1));
   if (w == Workload::kRepairTable4) {
     // The seed picks where in the trace the replay starts.
     writes_ = &MachineWrites();
@@ -117,44 +92,36 @@ RequestStream::RequestStream(Workload w, uint64_t seed, size_t conn, size_t num_
     stride_ = num_conns;
     return;
   }
-  items_ = OwnedItems(w, conn, num_conns, perm_rng);
-  chooser_ = ocasta::KeyChooser(ocasta::KeyDist::kZipf, items_.size(), kZipfTheta);
+  // Hot-key ranks come from a seed-only stream shared by every connection,
+  // the op sequence from the per-connection stream.
+  ocasta::Rng perm_rng(seed * 2654435761u);
+  keys_ = Permutation(kAppKeys, perm_rng);
+  chooser_ = ocasta::KeyChooser(ocasta::KeyDist::kZipf, keys_.size(), kZipfTheta);
 }
 
 Request RequestStream::Next() {
   Request req;
   if (workload_ == Workload::kRepairTable4) {
     req.write = true;
-    req.cmds.push_back((*writes_)[next_write_ % writes_->size()]);
+    req.cmd = (*writes_)[next_write_ % writes_->size()];
     next_write_ += stride_;
     ++seq_;
     return req;
   }
-  const size_t item = items_[chooser_.Next(rng_)];
-  if (workload_ == Workload::kAppReads) {
-    req.first_key = item;
-    req.write = rng_.next_below(1000) < kAppPutPermille;
-    if (req.write) {
-      req.cmds.push_back(PutCmd{KeyName(workload_, item), MakeValue(item, conn_, ++seq_), 0});
-    } else {
-      req.cmds.push_back(GetCmd{KeyName(workload_, item)});
-    }
-    return req;
-  }
-  req.write = true;
-  req.first_key = item * kGroupSize;
-  ++seq_;
-  for (size_t j = 0; j < kGroupSize; ++j) {
-    const size_t key = item * kGroupSize + j;
-    req.cmds.push_back(PutCmd{KeyName(workload_, key), MakeValue(key, conn_, seq_), 0});
+  req.key = keys_[chooser_.Next(rng_)];
+  req.write = rng_.next_below(1000) < kAppPutPermille;
+  if (req.write) {
+    req.cmd = PutCmd{AppKeyName(req.key), MakeValue(req.key, conn_, ++seq_), 0};
+  } else {
+    req.cmd = GetCmd{AppKeyName(req.key)};
   }
   return req;
 }
 
-std::vector<Command> PreloadCommands(Workload w) {
+std::vector<Command> PreloadCommands() {
   std::vector<Command> cmds;
-  for (size_t key = 0; key < NumKeys(w); ++key) {
-    cmds.push_back(PutCmd{KeyName(w, key), MakeValue(key, kPreloadWriter, 0), 0});
+  for (size_t key = 0; key < kAppKeys; ++key) {
+    cmds.push_back(PutCmd{AppKeyName(key), MakeValue(key, kPreloadWriter, 0), 0});
   }
   return cmds;
 }
@@ -197,6 +164,16 @@ uint64_t NowNs() {
 }
 
 double SecondsSince(uint64_t start_ns) { return static_cast<double>(NowNs() - start_ns) / 1e9; }
+
+double InterquartileMean(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  const size_t lo = n / 4;
+  const size_t hi = std::max(n - n / 4, lo + 1);
+  double sum = 0;
+  for (size_t i = lo; i < hi; ++i) sum += values[i];
+  return sum / static_cast<double>(hi - lo);
+}
 
 double Median(std::vector<double> values) {
   std::sort(values.begin(), values.end());

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -18,25 +17,22 @@
 
 namespace perfbench {
 
-enum class Workload { kAppReads, kSaveBursts, kQuorumBursts, kRepairTable4 };
+enum class Workload { kAppReads, kRepairTable4 };
 
-// "app-reads" | "save-bursts" | "quorum-bursts" | "repair-table4".
+// "app-reads" | "repair-table4".
 Workload WorkloadByName(const std::string& name);
-bool IsBurstWorkload(Workload w);
 
 // app-reads: 20,000 keys (about Windows XP-2's key count), 99% GET / 1% PUT.
 inline constexpr size_t kAppKeys = 20000;
 inline constexpr uint32_t kAppPutPermille = 10;
-// save-bursts / quorum-bursts: 2,000 keys in fixed dependency groups of 8.
-inline constexpr size_t kGroupSize = 8;
-inline constexpr size_t kGroups = 250;
 inline constexpr size_t kValueBytes = 64;
 inline constexpr double kZipfTheta = 0.99;
+// Closed-loop connections of every load (each caller waits for its reply).
+inline constexpr size_t kConns = 2;
 // Writer id of the values every key is preloaded with.
 inline constexpr uint32_t kPreloadWriter = 255;
 
-size_t NumKeys(Workload w);
-std::string KeyName(Workload w, size_t key);
+std::string AppKeyName(size_t key);
 
 // Values are 64-byte strings "<key>:<writer>:<seq>:" padded with '.', so a
 // read can be checked against the key it asked for and the writes issued.
@@ -48,15 +44,14 @@ struct ValueTag {
 };
 std::optional<ValueTag> ParseValue(std::string_view value);
 
-// One request: a single GET/PUT frame, or a BATCH frame of one group's PUTs.
+// One request: a single-command GET or PUT frame.
 struct Request {
-  std::vector<ocasta::api::Command> cmds;
+  ocasta::api::Command cmd;
   bool write = false;
-  size_t first_key = 0;  // The GET/PUT key, or the burst's first key.
+  size_t key = 0;  // app-reads' key index (0 for repair-table4).
 };
 
 // Closed-loop request stream of connection `conn` out of `num_conns`.
-// Burst workloads give each connection a disjoint set of groups;
 // repair-table4 streams its first machine's write events as PUTs.
 class RequestStream {
  public:
@@ -70,15 +65,15 @@ class RequestStream {
   uint32_t conn_;
   ocasta::Rng rng_;
   ocasta::KeyChooser chooser_;
-  std::vector<size_t> items_;  // Zipf rank -> key (app) or group (bursts).
+  std::vector<size_t> keys_;  // Zipf rank -> key (app-reads).
   uint64_t seq_ = 0;
   const std::vector<ocasta::api::PutCmd>* writes_ = nullptr;  // repair-table4.
   size_t next_write_ = 0;
   size_t stride_ = 1;
 };
 
-// Preload commands: every key of the workload with its writer-255 value.
-std::vector<ocasta::api::Command> PreloadCommands(Workload w);
+// Preload commands: every app-reads key with its writer-255 value.
+std::vector<ocasta::api::Command> PreloadCommands();
 
 // --- Output helpers -----------------------------------------------------------
 
@@ -97,6 +92,10 @@ class JsonObject {
 double SecondsSince(uint64_t start_ns);
 // Median of a non-empty sample (the mean of the middle two for even sizes).
 double Median(std::vector<double> values);
+// Mean of the middle half of a non-empty sample (its interquartile mean).
+// Over windows of bucket-quantized percentiles it is as robust to outlier
+// windows as the median, without reading one bucket's bound on every run.
+double InterquartileMean(std::vector<double> values);
 uint64_t NowNs();
 
 }  // namespace perfbench
